@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"net/http"
+	"sort"
 	"testing"
 	"time"
 
@@ -75,14 +76,52 @@ func waitWindows(t *testing.T, e *pipeline.Engine, want uint64) {
 	}
 }
 
+// sendAll streams reports through the TCP door and requires every ack.
+func sendAll(t *testing.T, addr string, reports []mcs.Report) {
+	t.Helper()
+	acked, err := mcs.SendReports(context.Background(), addr, reports)
+	if err != nil || acked != len(reports) {
+		t.Fatalf("acked %d of %d, err %v", acked, len(reports), err)
+	}
+}
+
+// waitQuarantined polls a fleet's /reputation route until every
+// participant from faultyFrom up to n is quarantined.
+func waitQuarantined(t *testing.T, e *pipeline.Engine, url string, faultyFrom, n int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Minute)
+	for {
+		var fs reputation.FleetSnapshot
+		quarantined := 0
+		if status, err := getJSON(url, &fs); err == nil && status == http.StatusOK {
+			for _, ps := range fs.Participants {
+				if ps.Participant >= faultyFrom && ps.State == "quarantined" {
+					quarantined++
+				}
+			}
+		}
+		if quarantined == n-faultyFrom {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d faulty participants quarantined after %d windows",
+				quarantined, n-faultyFrom, e.Stats().WindowsProcessed)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // TestReputationEndpointsE2E streams a fleet with persistently faulty
 // participants through the TCP door and reads the trust ledger back over
 // every /reputation route.
 func TestReputationEndpointsE2E(t *testing.T) {
 	const (
 		n, w, h    = 24, 60, 20
-		slots      = 60 + 20*8
+		slots      = 60 + 20*10
 		faultyFrom = 22
+		// splitSlot ends the first phase once eight windows have closed:
+		// the evidence the ledger needs to quarantine the faulty rows.
+		splitSlot = 60 + 20*8
 	)
 	rep := reputation.DefaultConfig()
 	d2, err := newDaemon(repDaemonConfig(n, w, h), daemonOptions{
@@ -99,14 +138,20 @@ func TestReputationEndpointsE2E(t *testing.T) {
 		}
 	}()
 
+	// The admission gate tags a report only if its participant is already
+	// quarantined when the report arrives, and a window folds into the
+	// ledger only after it closes. So stream in two phases: the first
+	// windows, then — once the ledger has quarantined the faulty rows — the
+	// rest. On a multi-core host the whole stream would otherwise be
+	// ingested before the first fold.
+	base := "http://" + d2.httpBound.String()
 	reports := faultyFleetReports(t, "cab", n, slots, faultyFrom)
-	acked, err := mcs.SendReports(context.Background(), d2.ingestAddr.String(), reports)
-	if err != nil || acked != len(reports) {
-		t.Fatalf("acked %d of %d, err %v", acked, len(reports), err)
-	}
+	split := sort.Search(len(reports), func(i int) bool { return reports[i].Slot >= splitSlot })
+	sendAll(t, d2.ingestAddr.String(), reports[:split])
+	waitQuarantined(t, d2.engine, base+"/reputation/cab", faultyFrom, n)
+	sendAll(t, d2.ingestAddr.String(), reports[split:])
 	waitWindows(t, d2.engine, uint64((slots-w)/h))
 
-	base := "http://" + d2.httpBound.String()
 	var snap reputation.Snapshot
 	if status, err := getJSON(base+"/reputation", &snap); err != nil || status != http.StatusOK {
 		t.Fatalf("/reputation: status %d err %v", status, err)

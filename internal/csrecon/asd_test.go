@@ -1,6 +1,8 @@
 package csrecon
 
 import (
+	"errors"
+	"math"
 	"testing"
 
 	"itscs/internal/mat"
@@ -31,11 +33,9 @@ func TestSteadyStateSweepsAllocationFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm up once so the workspace is allocated.
-	if _, err := prob.step(l, r, true); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := prob.step(l, r, false); err != nil {
+	// Initialise the carried residuals (allocating the workspace) through
+	// the entry point run uses.
+	if _, err := prob.resync(l, r); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
@@ -77,15 +77,14 @@ func TestFixedStepObjectiveIncreaseDoesNotTerminate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e1, g, err := prob.residuals(l, r)
+	if _, err := prob.resync(l, r); err != nil {
+		t.Fatal(err)
+	}
+	grad, err := prob.gradient(l, r, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	grad, err := prob.gradL(l, r, e1, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	num, den, err := prob.lineStats(l, r, grad, e1, g, true)
+	num, den, err := prob.lineStats(l, r, grad, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,11 +160,134 @@ func TestObjectiveReconciledAtExit(t *testing.T) {
 	}
 	// run mutates l and r in place, so the exact objective at the final
 	// factors is recomputable directly.
-	exact := prob.objective(l, r)
+	exact, err := prob.resync(l, r)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Objective != exact {
 		t.Fatalf("Result.Objective = %v, want exact objective %v", res.Objective, exact)
 	}
 	if last := res.ObjectiveTrace[len(res.ObjectiveTrace)-1]; last != exact {
 		t.Fatalf("trace tail = %v, want exact objective %v", last, exact)
+	}
+}
+
+// residualDrift returns ‖carried − exact‖_F / (‖exact‖_F + ‖ref‖_F): the
+// drift of a carried residual relative to the scale of the two terms the
+// residual is the difference of (the fit and ref, the constant it is
+// measured against). A residual-relative measure alone would divide
+// rounding by rounding once the fit is exact, as it is at t = 1.
+func residualDrift(t *testing.T, carried, exact, ref *mat.Dense) float64 {
+	t.Helper()
+	diff, err := carried.SubMat(exact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return diff.FrobeniusNorm() / (exact.FrobeniusNorm() + ref.FrobeniusNorm())
+}
+
+// TestCarriedResidualsTrackExactRecomputation bounds the drift of the
+// carried state between reconciles: after reconcileEvery−1 sweeps without
+// a resync, the carried E1 and G and the incrementally tracked objective
+// must match an exact recomputation at the same factors to 1e-9 relative.
+func TestCarriedResidualsTrackExactRecomputation(t *testing.T) {
+	const sweeps = reconcileEvery - 1
+	const tol = 1e-9
+	cases := []struct {
+		name    string
+		variant Variant
+		n, t    int
+	}{
+		{"CS", VariantBasic, 15, 30},
+		{"CS+T", VariantTemporal, 15, 30},
+		{"CS+VT", VariantVelocityTemporal, 15, 30},
+		{"CS+VT/t=1", VariantVelocityTemporal, 15, 1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			x, v := lowRankFixture(c.n, c.t, 61)
+			b := dropCells(c.n, c.t, c.n*c.t/4, 62)
+			s, err := x.Hadamard(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opt := testOptions(c.variant)
+			var avgV *mat.Dense
+			if c.variant == VariantVelocityTemporal {
+				avgV = motion.AverageVelocity(v)
+			}
+			prob, err := newProblem(s, b, avgV, opt, c.n, c.t)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l, r, err := initFactors(s, b, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			obj, err := prob.resync(l, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := 0; k < sweeps; k++ {
+				for _, updateL := range []bool{true, false} {
+					drop, err := prob.step(l, r, updateL)
+					if err != nil {
+						t.Fatal(err)
+					}
+					obj -= drop
+				}
+			}
+			e1 := prob.ws.e1.Clone()
+			var g *mat.Dense
+			if prob.ws.g != nil {
+				g = prob.ws.g.Clone()
+			}
+			exact, err := prob.resync(l, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := residualDrift(t, e1, prob.ws.e1, prob.sMasked); d > tol {
+				t.Errorf("carried E1 drifted %.3g from the exact residual", d)
+			}
+			if g != nil {
+				if d := residualDrift(t, g, prob.ws.g, prob.target); d > tol {
+					t.Errorf("carried G drifted %.3g from the exact residual", d)
+				}
+			}
+			if d := math.Abs(obj-exact) / exact; d > tol {
+				t.Errorf("tracked objective %v drifted %.3g from the exact %v", obj, d, exact)
+			}
+			t.Logf("E1 drift %.3g, objective drift %.3g", residualDrift(t, e1, prob.ws.e1, prob.sMasked), math.Abs(obj-exact)/exact)
+		})
+	}
+}
+
+// TestStepRequiresResync pins the residual-initialisation precondition: a
+// sweep on a problem whose residuals were never initialised is refused
+// rather than run on stale state.
+func TestStepRequiresResync(t *testing.T) {
+	x, _ := lowRankFixture(6, 9, 71)
+	b := dropCells(6, 9, 10, 72)
+	s, err := x.Hadamard(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := testOptions(VariantBasic)
+	prob, err := newProblem(s, b, nil, opt, 6, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, r, err := initFactors(s, b, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := prob.step(l, r, true); !errors.Is(err, errNotSynced) {
+		t.Fatalf("step before resync: err = %v, want errNotSynced", err)
+	}
+	if _, err := prob.resync(l, r); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := prob.step(l, r, true); err != nil {
+		t.Fatalf("step after resync: %v", err)
 	}
 }

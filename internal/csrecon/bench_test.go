@@ -180,19 +180,19 @@ func sweepFixture(b *testing.B, n, t, rank int) (*problem, *mat.Dense, *mat.Dens
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Warm up: allocate the workspace so the timed loop is steady state.
-	if _, err := prob.step(l, r, true); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := prob.step(l, r, false); err != nil {
+	// Initialise the carried residuals through the entry point run uses,
+	// which also allocates the workspace, so the timed loop runs valid
+	// steady-state sweeps.
+	if _, err := prob.resync(l, r); err != nil {
 		b.Fatal(err)
 	}
 	return prob, l, r
 }
 
-// BenchmarkASDSweep measures one full L+R ASD sweep at paper scale
-// (158×240, the SUVnet evaluation dimensions) and fleet scale (1000×960)
-// across worker budgets. ReportAllocs backs the zero-allocation claim: at
+// BenchmarkASDSweep measures one full L+R ASD sweep at the streaming
+// benchmark's quick scale (60×120), paper scale (158×240, the SUVnet
+// evaluation dimensions) and fleet scale (1000×960) across worker budgets,
+// all at rank 16. ReportAllocs backs the zero-allocation claim: at
 // workers=1 the steady-state sweep must report 0 B/op.
 func BenchmarkASDSweep(b *testing.B) {
 	scales := []struct {
@@ -200,6 +200,7 @@ func BenchmarkASDSweep(b *testing.B) {
 		n, t    int
 		workers []int
 	}{
+		{"quick60x120", 60, 120, []int{1, 2}},
 		{"paper158x240", 158, 240, []int{1, 2, 4, 8}},
 		{"fleet1000x960", 1000, 960, []int{1, 2, 4, 8}},
 	}

@@ -18,6 +18,7 @@
 package csrecon
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -251,8 +252,8 @@ type problem struct {
 	sMasked *mat.Dense
 	// useStability records whether the 𝕋' term is active (false for
 	// VariantBasic or single-column input). The operator itself is applied
-	// via the O(n·t) kernels applyDiff/applyDiffAdjoint rather than a
-	// materialized matrix.
+	// row by row in O(n·t) (diffRow, diffAdjointRow and the fused passes)
+	// rather than as a materialized matrix.
 	useStability bool
 	// target is τ·V̄ restricted to the transition columns (n×(t−1));
 	// all zeros for VariantTemporal.
@@ -267,22 +268,34 @@ type problem struct {
 	ws *workspace
 }
 
-// workspace holds every intermediate matrix the ASD sweeps need, sized
-// once for the problem's n×t and the factorization rank. Buffers are
-// reused across sweeps; the residual buffers (m, e1, g) are invalidated by
-// each residuals call and the line-search buffers (dm, p1, p3) by each
-// lineStats call.
+// workspace carries the residuals across half-steps and holds every
+// intermediate the ASD sweeps need, sized once for the problem's n×t and
+// the factorization rank.
 type workspace struct {
 	rank int
-	// m = L·Rᵀ, e1 = (LRᵀ−S)∘B, dm = D·Rᵀ (or L·Dᵀ), p1 = dm∘B: all n×t.
-	m, e1, dm, p1 *mat.Dense
+	// synced is set once resync has filled e1 and g; step refuses to run
+	// before that.
+	synced bool
+	// e1 = (LRᵀ−S)∘B (n×t) and, when the 𝕋' term is active,
+	// g = LRᵀ·𝕋' − target (n×(t−1)) are the residuals at the current
+	// factors. step keeps them current with the update its line search
+	// already formed; resync recomputes them exactly.
+	e1, g *mat.Dense
+	// work (n×t) holds W = E1 + λ₂·G·𝕋'ᵀ while a gradient is formed, then
+	// the search image D·Rᵀ (or L·Dᵀ) for the line search and the residual
+	// update, and L·Rᵀ after resync.
+	work *mat.Dense
 	// gl = ∇_L f (n×r), gr = ∇_R f (t×r).
 	gl, gr *mat.Dense
-	// Stability-term scratch, nil when the 𝕋' term is inactive:
-	// g = LRᵀ·𝕋'−target and p3 = dm·𝕋' (n×(t−1)), adj = G·𝕋'ᵀ (n×t),
-	// tl (n×r) and tr (t×r) hold the λ₂ gradient contributions.
-	g, p3, adj *mat.Dense
-	tl, tr     *mat.Dense
+	// lineRows[i] holds row i's ⟨E1,P1⟩, ‖P1‖², ⟨G,P3⟩, ‖P3‖². They are
+	// summed in row order, so num and den do not depend on the worker
+	// count.
+	lineRows [][4]float64
+	// alpha is the step the update pass applies.
+	alpha float64
+	// The fused row passes, bound once: handing a func literal to
+	// mat.ParallelRows on every call would allocate.
+	formW, lineSums, update func(lo, hi int)
 }
 
 // ensure returns the workspace for factorization rank r.Cols(), allocating
@@ -295,21 +308,19 @@ func (p *problem) ensure(r *mat.Dense) *workspace {
 	}
 	n, t := p.s.Dims()
 	ws := &workspace{
-		rank: rank,
-		m:    mat.New(n, t),
-		e1:   mat.New(n, t),
-		dm:   mat.New(n, t),
-		p1:   mat.New(n, t),
-		gl:   mat.New(n, rank),
-		gr:   mat.New(t, rank),
+		rank:     rank,
+		e1:       mat.New(n, t),
+		work:     mat.New(n, t),
+		gl:       mat.New(n, rank),
+		gr:       mat.New(t, rank),
+		lineRows: make([][4]float64, n),
 	}
 	if p.useStability {
 		ws.g = mat.New(n, t-1)
-		ws.p3 = mat.New(n, t-1)
-		ws.adj = mat.New(n, t)
-		ws.tl = mat.New(n, rank)
-		ws.tr = mat.New(t, rank)
 	}
+	ws.formW = func(lo, hi int) { p.formW(ws, lo, hi) }
+	ws.lineSums = func(lo, hi int) { p.lineSums(ws, lo, hi) }
+	ws.update = func(lo, hi int) { p.update(ws, lo, hi) }
 	p.ws = ws
 	return ws
 }
@@ -351,59 +362,26 @@ func newProblem(s, b, avgV *mat.Dense, opt Options, n, t int) (*problem, error) 
 	return p, nil
 }
 
-// applyDiff computes M·𝕋' in O(n·t), where 𝕋' is Eq. (24)'s operator with
-// the first column dropped: column j of the result is the transition
-// m(i,j+1) − m(i,j), aligned with +τ·V̄(i,j+1). The sign is irrelevant for
-// the pure temporal penalty but must match the velocity target in the full
-// variant.
-func applyDiff(m *mat.Dense) *mat.Dense {
-	n, t := m.Dims()
-	out := mat.New(n, t-1)
-	applyDiffInto(out, m)
-	return out
-}
-
-// applyDiffInto is the allocation-free form of applyDiff; out must be
-// pre-sized to n×(t−1).
-func applyDiffInto(out, m *mat.Dense) {
-	n, t := m.Dims()
-	for i := 0; i < n; i++ {
-		src := m.RowView(i)
-		dst := out.RowView(i)
-		for j := 0; j < t-1; j++ {
-			dst[j] = src[j+1] - src[j]
-		}
+// diffRow writes one row of M·𝕋', where 𝕋' is Eq. (24)'s operator with
+// the first column dropped: dst[j] = src[j+1] − src[j] is the transition
+// into slot j+1, aligned with +τ·V̄(i,j+1). The sign is irrelevant for the
+// pure temporal penalty but must match the velocity target in the full
+// variant. len(dst) must be len(src)−1.
+func diffRow(dst, src []float64) {
+	for j := range dst {
+		dst[j] = src[j+1] - src[j]
 	}
 }
 
-// applyDiffAdjoint computes G·𝕋'ᵀ in O(n·t):
-// (G·𝕋'ᵀ)(i,j) = g(i,j−1) − g(i,j) with out-of-range terms zero.
-func applyDiffAdjoint(g *mat.Dense) *mat.Dense {
-	n, tm1 := g.Dims()
-	out := mat.New(n, tm1+1)
-	applyDiffAdjointInto(out, g)
-	return out
-}
-
-// applyDiffAdjointInto is the allocation-free form of applyDiffAdjoint;
-// out must be pre-sized to n×(t) for a n×(t−1) input.
-func applyDiffAdjointInto(out, g *mat.Dense) {
-	n, tm1 := g.Dims()
-	t := tm1 + 1
-	for i := 0; i < n; i++ {
-		src := g.RowView(i)
-		dst := out.RowView(i)
-		for j := 0; j < t; j++ {
-			var v float64
-			if j-1 >= 0 && j-1 < tm1 {
-				v += src[j-1]
-			}
-			if j < tm1 {
-				v -= src[j]
-			}
-			dst[j] = v
-		}
+// diffAdjointRow writes one row of G·𝕋'ᵀ: dst[j] = g[j−1] − g[j], with
+// out-of-range terms zero. len(dst) must be len(g)+1.
+func diffAdjointRow(dst, g []float64) {
+	last := len(g)
+	dst[0] = -g[0]
+	for j := 1; j < last; j++ {
+		dst[j] = g[j-1] - g[j]
 	}
+	dst[last] = g[last-1]
 }
 
 // initFactors produces the ASD starting point: nearest-value fill of the
@@ -543,12 +521,12 @@ func nearestFill(s, b *mat.Dense) *mat.Dense {
 	return out
 }
 
-// reconcileEvery is the sweep interval at which the incrementally tracked
-// objective is replaced by an exact recomputation. The incremental update
-// `next = obj − dropL − dropR` accumulates floating-point drift over
-// hundreds of sweeps; an exact evaluation costs one residual pass — cheap
-// relative to the K sweeps it anchors — and keeps the reported trace
-// trustworthy.
+// reconcileEvery is the sweep interval at which the carried residuals and
+// the incrementally tracked objective are replaced by an exact
+// recomputation. Both updates accumulate floating-point drift over
+// hundreds of sweeps; an exact evaluation costs one factor product —
+// cheap relative to the 4·K products of the K sweeps it anchors — and
+// keeps the reported trace trustworthy.
 const reconcileEvery = 25
 
 // run performs the ASD sweeps (Algorithm 2 lines 9-18).
@@ -556,16 +534,18 @@ const reconcileEvery = 25
 // The objective is tracked incrementally: along a fixed direction every
 // term is quadratic in the step size, so the exact line search that yields
 // α* = num/den also yields the new objective f(α*) = f(0) − num²/den.
-// This avoids a third residual evaluation per sweep. The tracked value is
-// reconciled with an exact evaluation every reconcileEvery sweeps and once
-// at exit.
+// The residuals are carried the same way (see step). Both are reconciled
+// with an exact evaluation every reconcileEvery sweeps and once at exit.
 //
 // Termination requires a small *non-negative* relative improvement: with a
 // fixed step size a sweep can increase the objective (negative drop), and
 // a negative ratio must read as "not converged", not as "converged". A
 // zero objective (already at the optimum) terminates immediately.
 func (p *problem) run(l, r *mat.Dense, opt Options) (*Result, error) {
-	obj := p.objective(l, r)
+	obj, err := p.resync(l, r)
+	if err != nil {
+		return nil, err
+	}
 	trace := make([]float64, 0, opt.MaxIters+1)
 	trace = append(trace, obj)
 	iters := 0
@@ -580,7 +560,9 @@ func (p *problem) run(l, r *mat.Dense, opt Options) (*Result, error) {
 		}
 		next := obj - dropL - dropR
 		if (iters+1)%reconcileEvery == 0 {
-			next = p.objective(l, r)
+			if next, err = p.resync(l, r); err != nil {
+				return nil, err
+			}
 		}
 		trace = append(trace, next)
 		if improved := obj - next; improved >= 0 {
@@ -597,15 +579,14 @@ func (p *problem) run(l, r *mat.Dense, opt Options) (*Result, error) {
 		obj = next
 	}
 	// Reconcile once at exit so Result.Objective is the exact objective at
-	// the final factors, not the drifted incremental estimate.
-	obj = p.objective(l, r)
-	trace[len(trace)-1] = obj
-	sHat, err := l.MulT(r)
-	if err != nil {
-		return nil, fmt.Errorf("csrecon: assemble reconstruction: %w", err)
+	// the final factors, not the drifted incremental estimate. resync
+	// leaves L·Rᵀ in the workspace: that is the reconstruction.
+	if obj, err = p.resync(l, r); err != nil {
+		return nil, err
 	}
+	trace[len(trace)-1] = obj
 	return &Result{
-		SHat:           sHat,
+		SHat:           p.ws.work.Clone(),
 		Factors:        Factors{L: l, R: r},
 		Iterations:     iters,
 		Objective:      obj,
@@ -613,66 +594,73 @@ func (p *problem) run(l, r *mat.Dense, opt Options) (*Result, error) {
 	}, nil
 }
 
-// residuals computes E1 = (LRᵀ − S)∘B and, when the stability term is
-// active, G = LRᵀ·𝕋' − target. The returned matrices are workspace
-// buffers, valid until the next residuals call on this problem.
-func (p *problem) residuals(l, r *mat.Dense) (e1, g *mat.Dense, err error) {
-	ws := p.ensure(r)
-	if err := l.MulTInto(ws.m, r); err != nil {
-		return nil, nil, err
-	}
-	if err := ws.m.HadamardInto(ws.e1, p.b); err != nil {
-		return nil, nil, err
-	}
-	if err := ws.e1.SubInPlace(p.sMasked); err != nil {
-		return nil, nil, err
-	}
-	if !p.useStability {
-		return ws.e1, nil, nil
-	}
-	applyDiffInto(ws.g, ws.m)
-	if err := ws.g.SubInPlace(p.target); err != nil {
-		return nil, nil, err
-	}
-	return ws.e1, ws.g, nil
-}
+// errNotSynced reports a sweep attempted before resync initialised the
+// carried residuals: a bug in the caller, not an input error.
+var errNotSynced = errors.New("csrecon: ASD step before the residuals were initialised")
 
-// objective evaluates Eq. (23) (or its reduced variants) at (L, R).
-func (p *problem) objective(l, r *mat.Dense) float64 {
-	e1, g, err := p.residuals(l, r)
-	if err != nil {
-		// Shapes are validated at construction; failure here is a bug.
-		panic(fmt.Sprintf("csrecon: objective residuals: %v", err))
+// resync recomputes the carried residuals exactly at (L, R) — L·Rᵀ into
+// ws.work, E1 = (LRᵀ−S)∘B and G = LRᵀ·𝕋' − target — and returns the exact
+// objective of Eq. (23) (or its reduced variants).
+//
+// It is the one place the residuals are initialised, and step requires
+// them to be current at the factors it is given: call resync before the
+// first step on a (problem, factors) pair and again after changing the
+// factors by any means other than step.
+func (p *problem) resync(l, r *mat.Dense) (float64, error) {
+	ws := p.ensure(r)
+	ws.synced = false
+	if err := l.MulTInto(ws.work, r); err != nil {
+		return 0, fmt.Errorf("csrecon: residuals: %w", err)
 	}
-	obj := e1.FrobeniusNorm2() + p.lambda1*(l.FrobeniusNorm2()+r.FrobeniusNorm2())
-	if g != nil {
-		obj += p.lambda2 * g.FrobeniusNorm2()
+	n, _ := p.s.Dims()
+	for i := 0; i < n; i++ {
+		m := ws.work.RowView(i)
+		b := p.b.RowView(i)[:len(m)]
+		sm := p.sMasked.RowView(i)[:len(m)]
+		e := ws.e1.RowView(i)[:len(m)]
+		for j, v := range m {
+			e[j] = v*b[j] - sm[j]
+		}
+		if p.useStability {
+			g := ws.g.RowView(i)
+			diffRow(g, m)
+			tg := p.target.RowView(i)[:len(g)]
+			for j := range g {
+				g[j] -= tg[j]
+			}
+		}
 	}
-	return obj
+	ws.synced = true
+	obj := ws.e1.FrobeniusNorm2() + p.lambda1*(l.FrobeniusNorm2()+r.FrobeniusNorm2())
+	if p.useStability {
+		obj += p.lambda2 * ws.g.FrobeniusNorm2()
+	}
+	return obj, nil
 }
 
 // step performs one steepest-descent update on L (updateL) or R with the
 // exact analytic line search: every objective term is quadratic in the step
 // size α along a fixed direction, so α* has a closed form. It returns the
 // exact objective decrease num²/den achieved by the step.
+//
+// The residuals are affine in the updated factor, so the step moves them
+// by −α times the line search's images of the direction:
+// E1 ← E1 − α·P1 and G ← G − α·P3. One half-step therefore costs two
+// factor products (the gradient and the search image) and no
+// recomputation of L·Rᵀ. The carried residuals must be current at (l, r)
+// on entry (see resync) and are current at the updated factors on return.
 func (p *problem) step(l, r *mat.Dense, updateL bool) (drop float64, err error) {
-	e1, g, err := p.residuals(l, r)
-	if err != nil {
-		return 0, err
+	if p.ws == nil || !p.ws.synced {
+		return 0, errNotSynced
 	}
-	var grad *mat.Dense
-	if updateL {
-		grad, err = p.gradL(l, r, e1, g)
-	} else {
-		grad, err = p.gradR(l, r, e1, g)
-	}
+	grad, err := p.gradient(l, r, updateL)
 	if err != nil {
 		return 0, err
 	}
 	if grad.MaxAbs() == 0 {
 		return 0, nil
 	}
-	num, den, err := p.lineStats(l, r, grad, e1, g, updateL)
+	num, den, err := p.lineStats(l, r, grad, updateL)
 	if err != nil {
 		return 0, err
 	}
@@ -689,57 +677,47 @@ func (p *problem) step(l, r *mat.Dense, updateL bool) (drop float64, err error) 
 	// Exact objective change along the quadratic: f(0) − f(α) = 2α·num − α²·den
 	// (num²/den at the exact minimizer; possibly negative for a fixed step).
 	drop = 2*alpha*num - alpha*alpha*den
+	anchor := r
 	if updateL {
-		return drop, l.AxpyInPlace(-alpha, grad)
+		anchor = l
 	}
-	return drop, r.AxpyInPlace(-alpha, grad)
+	if err := anchor.AxpyInPlace(-alpha, grad); err != nil {
+		return 0, err
+	}
+	// ws.work still holds the search image lineStats formed.
+	p.ws.alpha = alpha
+	p.rows(p.ws.update)
+	return drop, nil
 }
 
-// gradL computes ∇_L f = 2·E1·R + 2λ₁·L + 2λ₂·G·𝕋'ᵀ·R into the workspace
-// buffer ws.gl, valid until the next gradL call on this problem.
-func (p *problem) gradL(l, r, e1, g *mat.Dense) (*mat.Dense, error) {
-	ws := p.ensure(r)
-	if err := e1.MulInto(ws.gl, r); err != nil {
+// gradient computes ∇_L f = 2·W·R + 2λ₁·L (updateL) or
+// ∇_R f = 2·Wᵀ·L + 2λ₁·R into the workspace buffer ws.gl or ws.gr, valid
+// until the next gradient call for the same factor. W = E1 + λ₂·G·𝕋'ᵀ
+// folds the stability term's adjoint into the data residual, so each
+// gradient is one factor product.
+func (p *problem) gradient(l, r *mat.Dense, updateL bool) (*mat.Dense, error) {
+	ws := p.ws
+	w := ws.e1
+	if p.useStability {
+		p.rows(ws.formW)
+		w = ws.work
+	}
+	grad, anchor := ws.gr, r
+	var err error
+	if updateL {
+		grad, anchor = ws.gl, l
+		err = w.MulInto(grad, r) // W·R : n×r
+	} else {
+		err = w.TMulInto(grad, l) // Wᵀ·L : t×r
+	}
+	if err != nil {
+		return nil, fmt.Errorf("csrecon: gradient: %w", err)
+	}
+	grad.Scale(2)
+	if err := grad.AxpyInPlace(2*p.lambda1, anchor); err != nil {
 		return nil, err
 	}
-	ws.gl.Scale(2)
-	if err := ws.gl.AxpyInPlace(2*p.lambda1, l); err != nil {
-		return nil, err
-	}
-	if g != nil {
-		applyDiffAdjointInto(ws.adj, g)
-		if err := ws.adj.MulInto(ws.tl, r); err != nil { // (G·𝕋'ᵀ)·R : n×r
-			return nil, err
-		}
-		if err := ws.gl.AxpyInPlace(2*p.lambda2, ws.tl); err != nil {
-			return nil, err
-		}
-	}
-	return ws.gl, nil
-}
-
-// gradR computes ∇_R f = 2·E1ᵀ·L + 2λ₁·R + 2λ₂·𝕋'·Gᵀ·L into the workspace
-// buffer ws.gr, valid until the next gradR call on this problem.
-func (p *problem) gradR(l, r, e1, g *mat.Dense) (*mat.Dense, error) {
-	ws := p.ensure(r)
-	if err := e1.TMulInto(ws.gr, l); err != nil { // E1ᵀ·L : t×r
-		return nil, err
-	}
-	ws.gr.Scale(2)
-	if err := ws.gr.AxpyInPlace(2*p.lambda1, r); err != nil {
-		return nil, err
-	}
-	if g != nil {
-		// 𝕋'·Gᵀ·L = (G·𝕋'ᵀ)ᵀ·L, with the adjoint applied in O(n·t).
-		applyDiffAdjointInto(ws.adj, g)
-		if err := ws.adj.TMulInto(ws.tr, l); err != nil { // t×r
-			return nil, err
-		}
-		if err := ws.gr.AxpyInPlace(2*p.lambda2, ws.tr); err != nil {
-			return nil, err
-		}
-	}
-	return ws.gr, nil
+	return grad, nil
 }
 
 // lineStats computes the quadratic coefficients of f along −grad:
@@ -748,48 +726,103 @@ func (p *problem) gradR(l, r, e1, g *mat.Dense) (*mat.Dense, error) {
 // For the L step with direction D: P1 = (D·Rᵀ)∘B, P3 = D·Rᵀ·𝕋',
 // num = ⟨E1,P1⟩ + λ₁⟨L,D⟩ + λ₂⟨G,P3⟩, den = ‖P1‖² + λ₁‖D‖² + λ₂‖P3‖²,
 // and symmetrically for the R step with P1 = (L·Dᵀ)∘B, P3 = L·Dᵀ·𝕋'.
-func (p *problem) lineStats(l, r, grad, e1, g *mat.Dense, updateL bool) (num, den float64, err error) {
-	ws := p.ensure(r)
-	if updateL {
-		err = grad.MulTInto(ws.dm, r) // D·Rᵀ : n×t
-	} else {
-		err = l.MulTInto(ws.dm, grad) // L·Dᵀ : n×t
-	}
-	if err != nil {
-		return 0, 0, err
-	}
-	if err := ws.dm.HadamardInto(ws.p1, p.b); err != nil {
-		return 0, 0, err
-	}
-	num, err = e1.Dot(ws.p1)
-	if err != nil {
-		return 0, 0, err
-	}
-	den = ws.p1.FrobeniusNorm2()
-
-	var anchor *mat.Dense
+// The search image D·Rᵀ (or L·Dᵀ) is left in ws.work; P1 and P3 are
+// formed from it on the fly, in one row pass with the four sums.
+func (p *problem) lineStats(l, r, grad *mat.Dense, updateL bool) (num, den float64, err error) {
+	ws := p.ws
+	anchor := r
 	if updateL {
 		anchor = l
+		err = grad.MulTInto(ws.work, r) // D·Rᵀ : n×t
 	} else {
-		anchor = r
+		err = l.MulTInto(ws.work, grad) // L·Dᵀ : n×t
+	}
+	if err != nil {
+		return 0, 0, fmt.Errorf("csrecon: line search: %w", err)
+	}
+	p.rows(ws.lineSums)
+	var e1p1, p1p1, gp3, p3p3 float64
+	for _, s := range ws.lineRows {
+		e1p1 += s[0]
+		p1p1 += s[1]
+		gp3 += s[2]
+		p3p3 += s[3]
 	}
 	dotAnchor, err := anchor.Dot(grad)
 	if err != nil {
 		return 0, 0, err
 	}
-	num += p.lambda1 * dotAnchor
-	den += p.lambda1 * grad.FrobeniusNorm2()
-
-	if g != nil {
-		applyDiffInto(ws.p3, ws.dm)
-		dotG, err := g.Dot(ws.p3)
-		if err != nil {
-			return 0, 0, err
-		}
-		num += p.lambda2 * dotG
-		den += p.lambda2 * ws.p3.FrobeniusNorm2()
-	}
+	num = e1p1 + p.lambda1*dotAnchor + p.lambda2*gp3
+	den = p1p1 + p.lambda1*grad.FrobeniusNorm2() + p.lambda2*p3p3
 	return num, den, nil
+}
+
+// rows runs one of the workspace's bound row passes over all n rows,
+// row-block parallel when the work pays for the fork/join. Every pass
+// writes only its own rows, so results do not depend on the worker count.
+func (p *problem) rows(pass func(lo, hi int)) {
+	n, t := p.s.Dims()
+	mat.ParallelRows(n, 4*t, pass)
+}
+
+// formW writes W = E1 + λ₂·G·𝕋'ᵀ into ws.work for rows [lo, hi).
+func (p *problem) formW(ws *workspace, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		w := ws.work.RowView(i)
+		diffAdjointRow(w, ws.g.RowView(i))
+		e := ws.e1.RowView(i)[:len(w)]
+		for j := range w {
+			w[j] = e[j] + p.lambda2*w[j]
+		}
+	}
+}
+
+// lineSums forms P1 = work∘B and P3 = work·𝕋' for rows [lo, hi) and
+// stores each row's ⟨E1,P1⟩, ‖P1‖², ⟨G,P3⟩, ‖P3‖² in ws.lineRows.
+func (p *problem) lineSums(ws *workspace, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		d := ws.work.RowView(i)
+		b := p.b.RowView(i)[:len(d)]
+		e := ws.e1.RowView(i)[:len(d)]
+		var e1p1, p1p1, gp3, p3p3 float64
+		for j, v := range d {
+			p1 := v * b[j]
+			e1p1 += e[j] * p1
+			p1p1 += p1 * p1
+		}
+		if p.useStability {
+			g := ws.g.RowView(i)
+			next := d[1:][:len(g)]
+			for j, gv := range g {
+				p3 := next[j] - d[j]
+				gp3 += gv * p3
+				p3p3 += p3 * p3
+			}
+		}
+		ws.lineRows[i] = [4]float64{e1p1, p1p1, gp3, p3p3}
+	}
+}
+
+// update applies E1 ← E1 − α·P1 and G ← G − α·P3 for rows [lo, hi), with
+// P1 and P3 re-formed from the search image in ws.work exactly as
+// lineSums formed them.
+func (p *problem) update(ws *workspace, lo, hi int) {
+	alpha := ws.alpha
+	for i := lo; i < hi; i++ {
+		d := ws.work.RowView(i)
+		b := p.b.RowView(i)[:len(d)]
+		e := ws.e1.RowView(i)[:len(d)]
+		for j, v := range d {
+			e[j] -= alpha * (v * b[j])
+		}
+		if p.useStability {
+			g := ws.g.RowView(i)
+			next := d[1:][:len(g)]
+			for j := range g {
+				g[j] -= alpha * (next[j] - d[j])
+			}
+		}
+	}
 }
 
 func minInt(a, b int) int {

@@ -349,6 +349,26 @@ func TestVariantString(t *testing.T) {
 	}
 }
 
+// applyDiff computes M·𝕋' row by row with the production kernel.
+func applyDiff(m *mat.Dense) *mat.Dense {
+	n, t := m.Dims()
+	out := mat.New(n, t-1)
+	for i := 0; i < n; i++ {
+		diffRow(out.RowView(i), m.RowView(i))
+	}
+	return out
+}
+
+// applyDiffAdjoint computes G·𝕋'ᵀ row by row with the production kernel.
+func applyDiffAdjoint(g *mat.Dense) *mat.Dense {
+	n, tm1 := g.Dims()
+	out := mat.New(n, tm1+1)
+	for i := 0; i < n; i++ {
+		diffAdjointRow(out.RowView(i), g.RowView(i))
+	}
+	return out
+}
+
 func TestApplyDiff(t *testing.T) {
 	x, _ := mat.NewFromRows([][]float64{{1, 3, 6, 10}})
 	prod := applyDiff(x)

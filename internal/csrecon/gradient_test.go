@@ -64,25 +64,36 @@ func gradientFixture(t *testing.T, variant Variant) (*problem, *mat.Dense, *mat.
 	return prob, l, r
 }
 
-// TestGradientsMatchFiniteDifferences verifies the analytic ∇L and ∇R of
-// every objective variant against central differences.
+// exactObjective evaluates the objective at (l, r) from scratch. It
+// re-initialises the problem's carried residuals at (l, r).
+func exactObjective(t *testing.T, prob *problem, l, r *mat.Dense) float64 {
+	t.Helper()
+	obj, err := prob.resync(l, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return obj
+}
+
+// TestGradientsMatchFiniteDifferences verifies the fused analytic ∇L and
+// ∇R (one product with W = E1 + λ₂·G·𝕋'ᵀ) of every objective variant
+// against central differences.
 func TestGradientsMatchFiniteDifferences(t *testing.T) {
 	for _, variant := range []Variant{VariantBasic, VariantTemporal, VariantVelocityTemporal} {
 		t.Run(variant.String(), func(t *testing.T) {
 			prob, l, r := gradientFixture(t, variant)
-			e1, g, err := prob.residuals(l, r)
+			if _, err := prob.resync(l, r); err != nil {
+				t.Fatal(err)
+			}
+			gradL, err := prob.gradient(l, r, true)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gradL, err := prob.gradL(l, r, e1, g)
+			gradR, err := prob.gradient(l, r, false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gradR, err := prob.gradR(l, r, e1, g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			obj := func() float64 { return prob.objective(l, r) }
+			obj := func() float64 { return exactObjective(t, prob, l, r) }
 			const h = 1e-5
 			numL := numericalGradient(obj, l, h)
 			numR := numericalGradient(obj, r, h)
@@ -96,49 +107,55 @@ func TestGradientsMatchFiniteDifferences(t *testing.T) {
 	}
 }
 
-// TestLineSearchIsExactMinimizer verifies the closed-form α*: the objective
-// at α* must be below nearby step sizes, and the predicted decrease
-// num²/den must match the realized decrease.
+// TestLineSearchIsExactMinimizer verifies the closed-form α* of the fused
+// line search for both half-steps: the objective at α* must be below
+// nearby step sizes, and the predicted decrease num²/den must match the
+// realized decrease.
 func TestLineSearchIsExactMinimizer(t *testing.T) {
 	for _, variant := range []Variant{VariantBasic, VariantVelocityTemporal} {
 		t.Run(variant.String(), func(t *testing.T) {
-			prob, l, r := gradientFixture(t, variant)
-			e1, g, err := prob.residuals(l, r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			grad, err := prob.gradR(l, r, e1, g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			num, den, err := prob.lineStats(l, r, grad, e1, g, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if den <= 0 {
-				t.Fatal("degenerate line-search denominator")
-			}
-			alpha := num / den
-			objAt := func(a float64) float64 {
-				rTrial := r.Clone()
-				if err := rTrial.AxpyInPlace(-a, grad); err != nil {
+			for _, updateL := range []bool{true, false} {
+				prob, l, r := gradientFixture(t, variant)
+				if _, err := prob.resync(l, r); err != nil {
 					t.Fatal(err)
 				}
-				return prob.objective(l, rTrial)
-			}
-			f0 := prob.objective(l, r)
-			fStar := objAt(alpha)
-			// Exactness: perturbed steps cannot beat α*.
-			for _, a := range []float64{alpha * 0.5, alpha * 0.9, alpha * 1.1, alpha * 2} {
-				if objAt(a) < fStar-1e-9 {
-					t.Fatalf("step %v beats the exact minimizer %v", a, alpha)
+				grad, err := prob.gradient(l, r, updateL)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			// Predicted decrease (α·num) matches the realized one.
-			predicted := alpha * num
-			realized := f0 - fStar
-			if math.Abs(predicted-realized) > 1e-6*math.Max(1, realized) {
-				t.Fatalf("predicted decrease %v vs realized %v", predicted, realized)
+				num, den, err := prob.lineStats(l, r, grad, updateL)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if den <= 0 {
+					t.Fatal("degenerate line-search denominator")
+				}
+				alpha := num / den
+				objAt := func(a float64) float64 {
+					lTrial, rTrial := l.Clone(), r.Clone()
+					moved := rTrial
+					if updateL {
+						moved = lTrial
+					}
+					if err := moved.AxpyInPlace(-a, grad); err != nil {
+						t.Fatal(err)
+					}
+					return exactObjective(t, prob, lTrial, rTrial)
+				}
+				f0 := exactObjective(t, prob, l, r)
+				fStar := objAt(alpha)
+				// Exactness: perturbed steps cannot beat α*.
+				for _, a := range []float64{alpha * 0.5, alpha * 0.9, alpha * 1.1, alpha * 2} {
+					if objAt(a) < fStar-1e-9 {
+						t.Fatalf("updateL=%v: step %v beats the exact minimizer %v", updateL, a, alpha)
+					}
+				}
+				// Predicted decrease (α·num) matches the realized one.
+				predicted := alpha * num
+				realized := f0 - fStar
+				if math.Abs(predicted-realized) > 1e-6*math.Max(1, realized) {
+					t.Fatalf("updateL=%v: predicted decrease %v vs realized %v", updateL, predicted, realized)
+				}
 			}
 		})
 	}
